@@ -52,7 +52,7 @@ int main() {
             << churn_config(1).ops_per_shard << " ops/shard (connect/"
             << "disconnect/grow mix), identical seeds for every row.\n\n";
 
-  // Single-threaded reference replay: no pool, no queues.
+  // Single-threaded reference replay: no pool, no batches.
   ShardedEngine reference_engine(config);
   ChurnDriver reference_driver(reference_engine, churn_config(1));
   const auto serial_start = std::chrono::steady_clock::now();
@@ -153,38 +153,6 @@ int main() {
     }
   }
   batched_table.print(std::cout);
-  std::cout << "\n";
-
-  // Queued submission axis (DESIGN.md §3.13): the same classic churn pushed
-  // through the single-writer ShardExecutor instead of per-shard mutexes.
-  // Identical streams, identical reference -- the only things allowed to
-  // move are the wall-clock and throughput columns. The locked 4-worker row
-  // above is the before; these rows are the after.
-  std::cout << "Queued submission (single-writer executor): "
-               "workers x queue depth, locked rows above are the baseline.\n\n";
-  Table queued_table(
-      {"workers", "depth", "wall ms", "ops/s", "vs serial", "identical"});
-  for (const std::size_t workers : {1u, 4u, 8u}) {
-    for (const std::size_t depth : {64u, 1024u}) {
-      ShardedEngine engine(config);
-      ChurnConfig queued_config = churn_config(workers);
-      queued_config.queued = true;
-      queued_config.queue_depth = depth;
-      ChurnDriver driver(engine, queued_config);
-      ThreadPool pool(1);  // queued mode submits from the calling thread
-      const auto start = std::chrono::steady_clock::now();
-      const ChurnStats stats = driver.run(pool);
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-      const bool identical = stats == reference &&
-                             stats.leftover_sessions == engine.active_sessions();
-      ok = ok && identical;
-      queued_table.add(workers, depth, wall_ms, total_ops / (wall_ms / 1000.0),
-                       serial_ms / wall_ms, identical ? "yes" : "NO");
-    }
-  }
-  queued_table.print(std::cout);
   std::cout << "\n";
 
   std::cout << (ok ? "OK: every worker count and batch size reproduced the "

@@ -446,7 +446,10 @@ BenchResult bench_availability(bool tiny) {
 BenchResult bench_engine_churn(bool tiny) {
   // The tentpole contract, enforced on every artifact: multithreaded churn
   // over the sharded engine reproduces the single-threaded replay
-  // bit-identically, and every stale-id probe is rejected.
+  // bit-identically, and every stale-id probe is rejected. Every batch
+  // rides a per-shard submission queue (DESIGN.md §3.13), so the run must
+  // also light up the engine.queue_depth / engine.op_wait_ns instruments
+  // that the thresholds file gates.
   engine::EngineConfig config;
   config.params = {4, 4, 5, 2};
   config.shards = tiny ? 3 : 8;
@@ -499,6 +502,13 @@ BenchResult bench_engine_churn(bool tiny) {
     }
   }
 
+  bool instruments_ok = true;
+  if (metrics_enabled()) {
+    instruments_ok =
+        metrics().histogram("engine.queue_depth").count() > 0 &&
+        metrics().timer("engine.op_wait_ns").count() > 0;
+  }
+
   BenchResult result;
   result.params_json = params_of({{"n", 4},
                                   {"r", 4},
@@ -511,7 +521,8 @@ BenchResult bench_engine_churn(bool tiny) {
                                    g_telemetry_lines.size()}});
   result.ok = threaded == serial && threaded.total.stale_accepted == 0 &&
               threaded.leftover_sessions == engine.active_sessions() &&
-              threaded.total.grows > 0 && telemetry_ok;
+              engine.active_sessions() == engine.active_sessions_exact() &&
+              threaded.total.grows > 0 && telemetry_ok && instruments_ok;
   return result;
 }
 
@@ -534,6 +545,7 @@ BenchResult bench_obs_snapshot(bool tiny) {
   engine::ChurnDriver driver(engine, churn);
   TimerStat& read_timer = metrics().timer("obs.snapshot_read");
 
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::uint64_t reads = 0;
   std::uint64_t inconsistent = 0;
@@ -544,9 +556,13 @@ BenchResult bench_obs_snapshot(bool tiny) {
         if (!engine.health_snapshot(s).consistent()) ++inconsistent;
         ++reads;
       }
+      started.store(true, std::memory_order_release);
     }
   });
   ThreadPool pool(churn.workers);
+  // Start the churn only once the reader is reading: a tiny run can
+  // otherwise finish before the reader's first read.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   const engine::ChurnStats stats = driver.run(pool);
   done.store(true, std::memory_order_relaxed);
   reader.join();
@@ -565,63 +581,11 @@ BenchResult bench_obs_snapshot(bool tiny) {
   return result;
 }
 
-BenchResult bench_engine_queued(bool tiny) {
-  // The single-writer submission path (DESIGN.md §3.13): the same churn as
-  // engine_churn, but every op ships through a bounded per-shard MPSC queue
-  // and executes on the ShardExecutor's workers instead of under the shard
-  // mutex. The determinism contract is unchanged -- the queued run must
-  // reproduce the serial replay bit-identically -- and the run must light up
-  // the engine.queue_depth / engine.op_wait_ns instruments that the
-  // thresholds file gates.
-  engine::EngineConfig config;
-  config.params = {4, 4, 5, 2};
-  config.shards = tiny ? 3 : 8;
-  engine::ChurnConfig churn;
-  churn.ops_per_shard = tiny ? 400 : 8000;
-  churn.batch = 64;
-  churn.workers = 4;
-  churn.queued = true;
-  churn.queue_depth = tiny ? 64 : 512;
-  churn.self_check_every = tiny ? 200 : 4096;
-
-  engine::ShardedEngine engine(config);
-  engine::ChurnDriver driver(engine, churn);
-  ThreadPool pool(1);  // queued mode submits from the calling thread
-  const engine::ChurnStats queued = driver.run(pool);
-
-  engine::ShardedEngine replay_engine(config);
-  engine::ChurnDriver replay(replay_engine, churn);
-  const engine::ChurnStats serial = replay.run_serial();
-
-  maybe_dump_flight(engine, "engine_queued");
-
-  bool instruments_ok = true;
-  if (metrics_enabled()) {
-    instruments_ok =
-        metrics().histogram("engine.queue_depth").count() > 0 &&
-        metrics().timer("engine.op_wait_ns").count() > 0;
-  }
-
-  BenchResult result;
-  result.params_json = params_of({{"n", 4},
-                                  {"r", 4},
-                                  {"k", 2},
-                                  {"shards", config.shards},
-                                  {"ops_per_shard", churn.ops_per_shard},
-                                  {"workers", churn.workers},
-                                  {"queue_depth", churn.queue_depth}});
-  result.ok = queued == serial && queued.total.stale_accepted == 0 &&
-              queued.leftover_sessions == engine.active_sessions() &&
-              engine.active_sessions() == engine.active_sessions_locked() &&
-              queued.total.grows > 0 && instruments_ok;
-  return result;
-}
-
 BenchResult bench_engine_soak(bool tiny) {
   // Miniature of bench/bench_soak.cpp, sized for the artifact: fill the
   // engine with unicast sessions to a fixed occupancy target, keep
   // lock-free find_session probes hot (timed as engine.find_session_ns)
-  // while queued churn saturates the shard queues, then drain the fill and
+  // while churn saturates every shard, then drain the fill and
   // check the session accounting end to end. The standalone bench_soak
   // binary runs the same shape at 1M+ sessions with an RSS budget.
   engine::EngineConfig config;
@@ -655,34 +619,39 @@ BenchResult bench_engine_soak(bool tiny) {
                        engine.active_sessions() == filled.size();
 
   // Saturated churn with a concurrent lock-free reader: the probe thread
-  // hammers find_session over the filled ids while the queued driver keeps
-  // every shard queue busy. The p99 of engine.find_session_ns is the
+  // hammers find_session over the filled ids while the driver keeps every
+  // shard busy. The p99 of engine.find_session_ns is the
   // "reads do not degrade under write saturation" number.
   engine::ChurnConfig churn;
   churn.ops_per_shard = tiny ? 300 : 3000;
   churn.batch = 32;
   churn.workers = tiny ? 2 : 4;
-  churn.queued = true;
-  churn.queue_depth = 128;
   engine::ChurnDriver driver(engine, churn);
   TimerStat& probe_timer = metrics().timer("engine.find_session_ns");
+  std::atomic<bool> started{false};
   std::atomic<bool> done{false};
   std::uint64_t probes = 0;
   std::uint64_t misdecoded = 0;
   std::thread prober([&] {
     std::size_t at = 0;
     while (!done.load(std::memory_order_relaxed)) {
-      const engine::SessionId id = filled[at % filled.size()];
-      at += 7919;  // co-prime stride: sweep the table, not one hot line
-      ScopedTimer timer(probe_timer);
-      const auto probe = engine.find_session(id);
-      ++probes;
-      if (probe && probe->slot != ThreeStageNetwork::slot_of_id(id.connection)) {
-        ++misdecoded;
+      {
+        const engine::SessionId id = filled[at % filled.size()];
+        at += 7919;  // co-prime stride: sweep the table, not one hot line
+        ScopedTimer timer(probe_timer);
+        const auto probe = engine.find_session(id);
+        ++probes;
+        if (probe &&
+            probe->slot != ThreeStageNetwork::slot_of_id(id.connection)) {
+          ++misdecoded;
+        }
       }
+      started.store(true, std::memory_order_release);
     }
   });
-  ThreadPool pool(1);
+  ThreadPool pool(churn.workers);
+  // As in obs_snapshot: the churn starts once the prober is probing.
+  while (!started.load(std::memory_order_acquire)) std::this_thread::yield();
   const engine::ChurnStats stats = driver.run(pool);
   done.store(true, std::memory_order_relaxed);
   prober.join();
@@ -695,7 +664,7 @@ BenchResult bench_engine_soak(bool tiny) {
   const bool drain_ok = drained == filled.size() &&
                         engine.active_sessions() == stats.leftover_sessions &&
                         engine.active_sessions() ==
-                            engine.active_sessions_locked();
+                            engine.active_sessions_exact();
   engine.self_check();
 
   BenchResult result;
@@ -748,11 +717,8 @@ const std::vector<BenchCase>& bench_cases() {
       {"obs_snapshot",
        "lock-free health snapshot reads hammered against full-rate churn",
        bench_obs_snapshot},
-      {"engine_queued",
-       "single-writer queued submission, bit-identical to the serial replay",
-       bench_engine_queued},
       {"engine_soak",
-       "bulk session fill + saturated queued churn with lock-free probes",
+       "bulk session fill + saturated churn with lock-free probes",
        bench_engine_soak},
   };
   return cases;

@@ -10,12 +10,12 @@
 //      under --budget-bytes (read from /proc/self/statm, so the gate is
 //      Linux-only and reports "n/a" elsewhere).
 //   2. Saturated churn: with the million sessions still standing, the
-//      queued ChurnDriver pushes sustained connect/disconnect/grow
-//      traffic through the single-writer executor while a reader thread
+//      ChurnDriver pushes sustained connect/disconnect/grow traffic
+//      through the per-shard submission queues while a reader thread
 //      hammers lock-free find_session over the filled ids. The probe's
 //      p99 under saturation is compared against an idle baseline measured
 //      before the churn -- the lock-free read path must not degrade while
-//      every shard queue is busy.
+//      every shard is busy.
 //   3. Scaling sweep: each worker count in --sweep gets a FRESH engine
 //      pre-filled to half the target (identical state per row -- reusing
 //      one engine would let each row inherit the previous row's leftovers
@@ -23,7 +23,7 @@
 //      row 1's ChurnStats bit-identically; the throughput column is the
 //      scaling curve committed to docs/BENCHMARKS.md.
 //   4. Drain: every filled session disconnects cleanly, the lock-free
-//      session count agrees with the locked recount, and self_check passes.
+//      session count agrees with the exact recount, and self_check passes.
 //
 // Scaling and latency gates are enforced only when the host has >= 8
 // hardware threads (like bench_churn: on a 1-core container the sweep is
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   cli.describe("m", "middle modules (default 136)");
   cli.describe("k", "wavelengths per fiber (default 64, the per-port cap)");
   cli.describe("churn-ops", "churn ops per shard per run (default 10000)");
-  cli.describe("sweep", "comma list of executor worker counts (default 1,2,4,8,16)");
+  cli.describe("sweep", "comma list of churn worker counts (default 1,2,4,8,16)");
   cli.describe("budget-bytes", "max RSS bytes per filled session (default 4096)");
   if (cli.wants_help()) {
     std::cout << cli.help_text("Million-session soak on the sharded engine");
@@ -173,8 +173,6 @@ int main(int argc, char** argv) {
   ChurnConfig churn;
   churn.ops_per_shard = churn_ops;
   churn.batch = 64;
-  churn.queued = true;
-  churn.queue_depth = 1024;
 
   // ---- Act 1: bulk fill under an RSS budget ----------------------------
   const std::size_t rss_before = rss_bytes();
@@ -230,7 +228,7 @@ int main(int argc, char** argv) {
   {
     churn.workers = widest;
     ChurnDriver driver(engine, churn);
-    ThreadPool pool(1);  // queued mode submits from the calling thread
+    ThreadPool pool(widest);
 
     obs::TelemetrySampler sampler(engine, {std::chrono::milliseconds(10), true});
     const char* telemetry_path = std::getenv("WDM_TELEMETRY");
@@ -300,7 +298,7 @@ int main(int argc, char** argv) {
     fill_sessions(row_engine, config.params.k, target / 2, row_fill);
     churn.workers = workers;
     ChurnDriver driver(row_engine, churn);
-    ThreadPool pool(1);
+    ThreadPool pool(workers);
     const auto start = std::chrono::steady_clock::now();
     const ChurnStats stats = driver.run(pool);
     const double wall = seconds_since(start);
@@ -336,12 +334,12 @@ int main(int argc, char** argv) {
   const double drain_seconds = seconds_since(drain_start);
   const bool drain_ok =
       drained == filled.size() &&
-      engine.active_sessions() == engine.active_sessions_locked();
+      engine.active_sessions() == engine.active_sessions_exact();
   ok = ok && drain_ok;
   engine.self_check();
   std::cout << "\ndrain: " << drained << " disconnects in " << drain_seconds
             << " s; " << engine.active_sessions()
-            << " churn leftovers remain (lock-free == locked count: "
+            << " churn leftovers remain (lock-free == exact count: "
             << (drain_ok ? "yes" : "NO") << ")\n";
 
   std::cout << (ok ? "\nOK: soak held the budget, the determinism contract, "

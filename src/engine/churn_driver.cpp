@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "engine/shard_executor.h"
 #include "util/metrics.h"
 #include "util/trace_span.h"
 
@@ -20,6 +19,8 @@ struct DriverMetrics {
   Counter& batches = metrics().counter("engine.batches");
   Counter& arrivals = metrics().counter("engine.arrivals");
   Counter& blocked = metrics().counter("engine.blocked");
+  Counter& stale_rejected = metrics().counter("engine.stale_rejected");
+  Counter& grow_blocked = metrics().counter("engine.grow_blocked");
   TimerStat& drain_batch = metrics().timer("engine.drain_batch");
   Histogram& request_fanout = metrics().histogram("engine.request_fanout");
   Histogram& grow_candidates = metrics().histogram("engine.grow_candidates");
@@ -82,7 +83,7 @@ void ChurnDriver::tick(Lane& lane) {
       ++stats.stale_accepted;  // corruption; surfaced by every caller's checks
     } else {
       ++stats.stale_rejected;
-      metrics().counter("engine.stale_rejected").add();
+      instruments.stale_rejected.add();
     }
   }
 
@@ -280,7 +281,7 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
   DriverMetrics::get().grow_candidates.record(candidates.size());
   if (candidates.empty()) {
     ++stats.grow_blocked;
-    metrics().counter("engine.grow_blocked").add();
+    DriverMetrics::get().grow_blocked.add();
     return;
   }
 
@@ -303,25 +304,14 @@ void ChurnDriver::grow_tick(Lane& lane, std::size_t victim) {
   lane.active[victim] = result.connection;
 }
 
-void ChurnDriver::drain(Lane& lane) {
-  std::lock_guard shard_lock(engine_->shard_mutex(lane.shard));
-  for (;;) {
-    std::size_t size = 0;
-    {
-      std::lock_guard queue_lock(lane.queue_mutex);
-      if (lane.queue_head == lane.queue.size()) {
-        lane.queue.clear();
-        lane.queue_head = 0;
-        break;
-      }
-      size = lane.queue[lane.queue_head++];
-    }
-    ScopedTimer timer(DriverMetrics::get().drain_batch);
-    TraceSpan span("engine.drain_batch");
-    span.arg("shard", static_cast<std::int64_t>(lane.shard));
-    span.arg("ops", static_cast<std::int64_t>(size));
-    for (std::size_t i = 0; i < size; ++i) tick(lane);
+std::vector<std::unique_ptr<ChurnDriver::Lane>> ChurnDriver::make_lanes()
+    const {
+  std::vector<std::unique_ptr<Lane>> lanes;
+  lanes.reserve(engine_->shard_count());
+  for (std::size_t s = 0; s < engine_->shard_count(); ++s) {
+    lanes.push_back(std::make_unique<Lane>(s, config_));
   }
+  return lanes;
 }
 
 ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
@@ -342,89 +332,11 @@ ChurnStats ChurnDriver::merge(std::vector<std::unique_ptr<Lane>>& lanes) const {
   return out;
 }
 
-void ChurnDriver::queued_batch(void* ctx, std::uint64_t ops) {
-  auto* task = static_cast<QueuedLaneCtx*>(ctx);
-  Lane& lane = *task->lane;
-  // A prior batch on this shard failed: stop advancing the stream so the
-  // error surfaces with the lane state that produced it.
-  if (lane.task_error) return;
-  try {
-    ScopedTimer timer(DriverMetrics::get().drain_batch);
-    TraceSpan span("engine.drain_batch");
-    span.arg("shard", static_cast<std::int64_t>(lane.shard));
-    span.arg("ops", static_cast<std::int64_t>(ops));
-    for (std::uint64_t i = 0; i < ops; ++i) task->driver->tick(lane);
-  } catch (...) {
-    // Never let an exception escape into the executor's worker loop (that
-    // would terminate the process); run_queued rethrows after quiescing.
-    lane.task_error = std::current_exception();
-  }
-}
-
-ChurnStats ChurnDriver::run_queued() {
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-  }
-  if (config_.ops_per_shard != 0) {
-    const std::size_t batch = std::max<std::size_t>(1, config_.batch);
-    const std::size_t batches_per_shard =
-        (config_.ops_per_shard + batch - 1) / batch;
-
-    ExecutorConfig exec_config;
-    exec_config.workers = std::max<std::size_t>(1, config_.workers);
-    exec_config.queue_capacity = std::max<std::size_t>(2, config_.queue_depth);
-    ShardExecutor executor(*engine_, exec_config);
-
-    std::vector<QueuedLaneCtx> contexts(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s) {
-      contexts[s] = {this, lanes[s].get()};
-    }
-    // Same batch schedule as the locked mode (round-robin over shards), but
-    // shipped: the single submitting thread pushes count-carrying tasks into
-    // the owning shard's queue and never touches lane state itself. FIFO
-    // drain per shard reproduces the serial stream exactly; a full queue
-    // blocks the submitter (backpressure), which delays but never reorders.
-    for (std::size_t claim = 0; claim < batches_per_shard * shard_count;
-         ++claim) {
-      const std::size_t shard = claim % shard_count;
-      const std::size_t begin = (claim / shard_count) * batch;
-      const std::size_t size =
-          std::min(batch, config_.ops_per_shard - begin);
-      DriverMetrics::get().batches.add();
-      executor.submit_task(shard, &ChurnDriver::queued_batch,
-                           &contexts[shard], size, nullptr);
-    }
-    executor.quiesce();
-    if (config_.connect_batch > 0) {
-      // Tail flush as owned tasks, for the same reason run() flushes under
-      // the shard mutex: pending buffers are lane state.
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        Lane& lane = *lanes[s];
-        if (lane.task_error) continue;
-        executor.run_task(s, [this, &lane] { flush_pending(lane); });
-      }
-    }
-    // Executor destructor: quiesce, detach from the engine, join workers.
-  }
-  for (const auto& lane : lanes) {
-    if (lane->task_error) std::rethrow_exception(lane->task_error);
-  }
-  return merge(lanes);
-}
-
 ChurnStats ChurnDriver::run(ThreadPool& pool) {
-  if (config_.queued) return run_queued();
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-  }
+  std::vector<std::unique_ptr<Lane>> lanes = make_lanes();
   if (config_.ops_per_shard == 0) return merge(lanes);
 
+  const std::size_t shard_count = lanes.size();
   const std::size_t batch = std::max<std::size_t>(1, config_.batch);
   const std::size_t batches_per_shard =
       (config_.ops_per_shard + batch - 1) / batch;
@@ -440,30 +352,24 @@ ChurnStats ChurnDriver::run(ThreadPool& pool) {
       Lane& lane = *lanes[claim % shard_count];
       const std::size_t begin = (claim / shard_count) * batch;
       const std::size_t size = std::min(batch, config_.ops_per_shard - begin);
-      {
-        std::lock_guard queue_lock(lane.queue_mutex);
-        lane.queue.push_back(size);
-      }
       DriverMetrics::get().batches.add();
-      drain(lane);
+      // The count rides the shard's queue; the ticks it stands for come
+      // from the shard-resident stream, whichever thread runs the op.
+      engine_->run_exclusive(lane.shard, [&] {
+        ScopedTimer timer(DriverMetrics::get().drain_batch);
+        TraceSpan batch_span("engine.drain_batch");
+        batch_span.arg("shard", static_cast<std::int64_t>(lane.shard));
+        batch_span.arg("ops", static_cast<std::int64_t>(size));
+        for (std::size_t i = 0; i < size; ++i) tick(lane);
+      });
     }
   });
 
-  // Every submitter drains after pushing, so no batch can be left behind
-  // once parallel_for joins. A leftover means the scheduling invariant (and
-  // with it the determinism argument) is broken -- fail loudly.
-  for (const auto& lane : lanes) {
-    std::lock_guard queue_lock(lane->queue_mutex);
-    if (lane->queue_head != lane->queue.size()) {
-      throw std::logic_error("ChurnDriver: undrained batch queue after join");
-    }
-  }
   if (config_.connect_batch > 0) {
     // Arrivals still buffered when the tick streams ran out flush here, so
     // every generated op lands in the stats regardless of batch alignment.
     for (const auto& lane : lanes) {
-      std::lock_guard shard_lock(engine_->shard_mutex(lane->shard));
-      flush_pending(*lane);
+      engine_->run_exclusive(lane->shard, [&] { flush_pending(*lane); });
     }
   }
   return merge(lanes);
@@ -472,15 +378,12 @@ ChurnStats ChurnDriver::run(ThreadPool& pool) {
 ChurnStats ChurnDriver::run() { return run(default_pool()); }
 
 ChurnStats ChurnDriver::run_serial() {
-  const std::size_t shard_count = engine_->shard_count();
-  std::vector<std::unique_ptr<Lane>> lanes;
-  lanes.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    lanes.push_back(std::make_unique<Lane>(s, config_));
-    Lane& lane = *lanes.back();
-    std::lock_guard shard_lock(engine_->shard_mutex(s));
-    for (std::size_t op = 0; op < config_.ops_per_shard; ++op) tick(lane);
-    if (config_.connect_batch > 0) flush_pending(lane);
+  std::vector<std::unique_ptr<Lane>> lanes = make_lanes();
+  for (const auto& lane : lanes) {
+    engine_->run_exclusive(lane->shard, [&] {
+      for (std::size_t op = 0; op < config_.ops_per_shard; ++op) tick(*lane);
+      if (config_.connect_batch > 0) flush_pending(*lane);
+    });
   }
   return merge(lanes);
 }

@@ -11,27 +11,27 @@
 //     is therefore a pure function of (seed, shard, ops executed so far).
 //
 //   * Work is cut into fixed-size batches scheduled round-robin across
-//     shards. Worker threads claim batches from an atomic cursor, submit
-//     each claim into the owning shard's mutex-guarded queue, then drain
-//     that queue under the shard's mutex. Draining serializes each shard, so
-//     its op stream advances exactly as in a single-threaded run no matter
-//     which worker executes which batch or in which order batches land --
-//     batches carry op *counts*, not op content, and content comes from the
+//     shards. Pool workers claim batches from an atomic cursor and run each
+//     one as an op on the owning shard (ShardedEngine::run_exclusive): the
+//     count-carrying op goes into the shard's queue and the worker helps
+//     drain until it has run. Ops on a shard run one at a time, so its op
+//     stream advances exactly as in a single-threaded run no matter which
+//     worker executes which batch or in which order batches land -- batches
+//     carry op *counts*, not op content, and content comes from the
 //     shard-resident stream.
 //
-//   * A submitter always drains after enqueueing, so by the time run()
-//     joins, every queue is empty: a pushed batch is executed either by a
-//     concurrent drainer that saw it or by its own submitter's drain.
+//   * A submitter waits for its own batch, so by the time run() joins,
+//     every batch has run: either a concurrent drainer ran it or its own
+//     submitter did.
 //
 // Aggregation merges per-shard stats in ascending shard order, so ChurnStats
 // -- down to every counter -- is bit-identical for 1, 2, or 64 workers
-// (enforced by tests/engine_test.cpp and bench_churn). run_serial() executes
-// the same streams with no queues, batches, or pool, as an independent
-// replay reference.
+// (enforced by tests/engine_test.cpp, tests/executor_test.cpp and
+// bench_churn). run_serial() executes each shard's whole stream as a single
+// op with no batches or pool, as an independent replay reference.
 #pragma once
 
 #include <cstdint>
-#include <exception>
 #include <string>
 #include <vector>
 
@@ -45,7 +45,7 @@ namespace wdm::engine {
 struct ChurnConfig {
   /// Churn ops (ticks) each shard executes.
   std::size_t ops_per_shard = 2000;
-  /// Ops per queued batch (the submission granularity).
+  /// Ops per batch (the submission granularity).
   std::size_t batch = 64;
   /// Worker threads for run(); clamped to >= 1. The thread count must never
   /// change results -- that is the point.
@@ -72,18 +72,6 @@ struct ChurnConfig {
   /// bit-identical across worker counts AND across connect_batch values
   /// (see DESIGN.md §3.10). Grow/stale fields stay zero in this mode.
   std::size_t connect_batch = 0;
-  /// Queued submission mode (DESIGN.md §3.13): run() creates a ShardExecutor
-  /// (`workers` draining workers, per-shard queues of `queue_depth`) and
-  /// ships each batch as a count-carrying task into the owning shard's
-  /// queue instead of locking the shard mutex. Op content still comes from
-  /// the shard-resident rng stream and each shard's tasks execute in FIFO
-  /// submission order under single-writer exclusivity, so ChurnStats stays
-  /// bit-identical to the locked mode, to run_serial(), and to itself at any
-  /// worker count or queue depth (enforced by tests/executor_test.cpp).
-  bool queued = false;
-  /// Per-shard submission queue capacity in queued mode (rounded up to a
-  /// power of two; small values just surface backpressure earlier).
-  std::size_t queue_depth = 1024;
 };
 
 /// One shard's outcome tally. Deterministic per (engine config, churn
@@ -126,13 +114,14 @@ class ChurnDriver {
   ChurnStats run();
 
   /// Single-threaded reference replay: the same per-shard op streams,
-  /// executed shard 0..S-1 with no queues, batches, or pool. Produces
-  /// bit-identical ChurnStats to run() on an identically-configured engine.
+  /// executed shard 0..S-1, each as one op with no batches or pool.
+  /// Produces bit-identical ChurnStats to run() on an identically-configured
+  /// engine.
   ChurnStats run_serial();
 
  private:
   /// Per-shard run state: the shard-resident stream plus the driver's
-  /// session bookkeeping and the mutex-guarded batch queue.
+  /// session bookkeeping. Touched only inside ops on its shard.
   struct Lane {
     explicit Lane(std::size_t shard_index, const ChurnConfig& config)
         : shard(shard_index), rng(Rng(config.seed).split(shard_index)) {}
@@ -148,15 +137,6 @@ class ChurnDriver {
     /// plus the reusable outcome buffer (both empty in classic mode).
     std::vector<MulticastRequest> pending;
     std::vector<BatchOutcome> outcomes;
-
-    std::mutex queue_mutex;
-    std::vector<std::size_t> queue;  // pending batch sizes (FIFO)
-    std::size_t queue_head = 0;
-
-    /// Queued mode: first exception a batch task hit (written under shard
-    /// ownership, read by run() after quiescing). Later batches on the lane
-    /// see it and stop advancing the stream.
-    std::exception_ptr task_error;
   };
 
   static constexpr std::size_t kStaleRing = 32;
@@ -165,7 +145,8 @@ class ChurnDriver {
   /// Batched-arrival tick (config_.connect_batch > 0); see ChurnConfig.
   void tick_batched(Lane& lane);
   /// Push the lane's pending arrivals through connect_batch_locked and fold
-  /// the outcomes into its stats. Requires the shard mutex. Deferred
+  /// the outcomes into its stats. Only inside an op on the lane's shard.
+  /// Deferred
   /// active_connection_steps accounting reproduces the classic
   /// account-before-op values at any flush boundary.
   void flush_pending(Lane& lane);
@@ -175,21 +156,8 @@ class ChurnDriver {
   /// (the post-mortem window CI uploads as an artifact), then throw
   /// std::logic_error(what).
   [[noreturn]] void fail(const char* what) const;
-  /// Execute every queued batch of `lane` under the shard mutex.
-  void drain(Lane& lane);
+  std::vector<std::unique_ptr<Lane>> make_lanes() const;
   ChurnStats merge(std::vector<std::unique_ptr<Lane>>& lanes) const;
-
-  /// Queued-mode run body (config_.queued): single-threaded submission of
-  /// batch tasks into a ShardExecutor, then quiesce and merge.
-  ChurnStats run_queued();
-  /// Context for one lane's queued batch tasks (submit_task trampoline).
-  struct QueuedLaneCtx {
-    ChurnDriver* driver = nullptr;
-    Lane* lane = nullptr;
-  };
-  /// Batch task body: `ops` ticks of the lane, executed on the worker that
-  /// owns the shard. Exceptions land in Lane::task_error, never escape.
-  static void queued_batch(void* ctx, std::uint64_t ops);
 
   ShardedEngine* engine_;
   ChurnConfig config_;

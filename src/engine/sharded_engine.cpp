@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <exception>
+#include <chrono>
 #include <iostream>
 #include <stdexcept>
+#include <thread>
 
-#include "engine/shard_executor.h"
 #include "faults/fault_model.h"
 #include "util/metrics.h"
 
@@ -26,12 +26,23 @@ struct EngineMetrics {
   Counter& snapshot_publishes = metrics().counter("obs.snapshot_publishes");
   Counter& snapshot_reads = metrics().counter("obs.snapshot_reads");
   Counter& snapshot_retries = metrics().counter("obs.snapshot_retries");
+  /// Submission plane: queue occupancy sampled at every push, and the
+  /// submit-to-run latency of every op.
+  Histogram& queue_depth = metrics().histogram("engine.queue_depth");
+  TimerStat& op_wait = metrics().timer("engine.op_wait_ns");
 
   static EngineMetrics& get() {
     static EngineMetrics instance;
     return instance;
   }
 };
+
+std::uint64_t steady_now_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// splitmix64 finalizer: the bijective mixer behind Rng seeding, reused here
 /// to score (port, shard) pairs for rendezvous hashing.
@@ -148,8 +159,8 @@ void ShardedEngine::publish_health(Shard& shard) {
 obs::EngineHealthSnapshot ShardedEngine::health_snapshot(
     std::size_t shard) const {
   const Shard& owner = *shards_.at(shard);
-  // Stack buffer sized from the (immutable) geometry: the read itself makes
-  // no heap allocation and takes no lock; only decoding copies to a vector.
+  // One buffer sized from the (immutable) geometry; the read itself takes
+  // no claim and no lock.
   std::vector<std::uint64_t> buffer(owner.health.capacity());
   std::size_t retries = 0;
   owner.health.read(buffer.data(), buffer.size(), &retries);
@@ -187,65 +198,94 @@ const std::vector<std::size_t>& ShardedEngine::owned_ports(
   return owned_ports_.at(shard);
 }
 
-std::mutex& ShardedEngine::shard_mutex(std::size_t shard) const {
-  return shards_.at(shard)->mutex;
+std::size_t ShardedEngine::queued_ops(std::size_t shard) const {
+  return shards_.at(shard)->queue.approx_size();
 }
 
 MultistageSwitch& ShardedEngine::shard_switch(std::size_t shard) {
   return shards_.at(shard)->sw;
 }
 
+void ShardedEngine::run_op(std::size_t shard, void (*fn)(void*),
+                           void* ctx) const {
+  Shard& owner = *shards_.at(shard);
+  Op op;
+  op.fn = fn;
+  op.ctx = ctx;
+  if (metrics_enabled()) {
+    op.enqueue_ns = steady_now_ns();
+    EngineMetrics::get().queue_depth.record(owner.queue.approx_size());
+  }
+  // Backpressure: a full queue means the claim holder is behind, or nobody
+  // holds the claim at all -- so help drain rather than just wait.
+  while (!owner.queue.try_push(&op)) {
+    if (!drain(owner)) std::this_thread::yield();
+  }
+  // Flat combining: whoever holds the claim runs our op; when nobody does,
+  // we claim and run the queue ourselves. Every queued op has a submitter
+  // spinning here, so none can be stranded.
+  for (int spins = 0; !op.done.load(std::memory_order_acquire);) {
+    if (!drain(owner) && ++spins > 1024) std::this_thread::yield();
+  }
+  if (op.error) std::rethrow_exception(op.error);
+}
+
+bool ShardedEngine::drain(Shard& shard) {
+  // Test before the exchange so waiters spin on a shared cache line.
+  if (shard.claimed.load(std::memory_order_relaxed) ||
+      shard.claimed.exchange(true, std::memory_order_acquire)) {
+    return false;
+  }
+  Op* op = nullptr;
+  for (std::size_t n = 0; n < kDrainQuantum && shard.queue.try_pop(op); ++n) {
+    if (op->enqueue_ns != 0) {
+      EngineMetrics::get().op_wait.record_ns(steady_now_ns() - op->enqueue_ns);
+    }
+    try {
+      op->fn(op->ctx);
+    } catch (...) {
+      // The exception belongs to the op's submitter, not to this thread.
+      op->error = std::current_exception();
+    }
+    // Last touch: once done is set, the submitter may pop its stack.
+    op->done.store(true, std::memory_order_release);
+  }
+  shard.claimed.store(false, std::memory_order_release);
+  return true;
+}
+
 std::optional<SessionId> ShardedEngine::connect(const MulticastRequest& request) {
   const std::size_t shard = shard_of(request.input.port);
   std::optional<ConnectionId> id;
-  if (ShardExecutor* exec = executor()) {
-    id = exec->connect(shard, request);
-  } else {
-    std::lock_guard lock(shards_[shard]->mutex);
-    id = connect_locked(shard, request);
-  }
+  run_exclusive(shard, [&] { id = connect_locked(shard, request); });
   if (!id) return std::nullopt;
   return SessionId{static_cast<std::uint32_t>(shard), *id};
 }
 
 bool ShardedEngine::disconnect(SessionId session) {
   if (session.shard >= shards_.size()) return false;
-  if (ShardExecutor* exec = executor()) {
-    return exec->disconnect(session.shard, session.connection);
-  }
-  std::lock_guard lock(shards_[session.shard]->mutex);
-  return disconnect_locked(session.shard, session.connection);
+  bool released = false;
+  run_exclusive(session.shard, [&] {
+    released = disconnect_locked(session.shard, session.connection);
+  });
+  return released;
 }
 
 GrowResult ShardedEngine::grow(SessionId session,
                                const WavelengthEndpoint& destination) {
   if (session.shard >= shards_.size()) return {};
-  if (ShardExecutor* exec = executor()) {
-    return exec->grow(session.shard, session.connection, destination);
-  }
-  std::lock_guard lock(shards_[session.shard]->mutex);
-  return grow_locked(session.shard, session.connection, destination);
-}
-
-void ShardedEngine::attach_executor(ShardExecutor* executor) {
-  executor_.store(executor, std::memory_order_release);
-}
-
-void ShardedEngine::with_shard_exclusive(
-    std::size_t shard, const std::function<void()>& fn) const {
-  if (ShardExecutor* exec = executor()) {
-    exec->run_task(shard, fn);
-    return;
-  }
-  std::lock_guard lock(shards_.at(shard)->mutex);
-  fn();
+  GrowResult result;
+  run_exclusive(session.shard, [&] {
+    result = grow_locked(session.shard, session.connection, destination);
+  });
+  return result;
 }
 
 std::size_t ShardedEngine::active_sessions() const {
   // Lock-free: the per-shard session counts ride the seqlock health spine,
   // and a header-prefix read is a valid consistent read
   // (obs/health_snapshot.h). Each term is exact as of that shard's latest
-  // publish; at quiescence the sum equals active_sessions_locked().
+  // publish; at quiescence the sum equals active_sessions_exact().
   std::uint64_t header[obs::EngineHealthSnapshot::kHeaderWords];
   std::size_t total = 0;
   for (const auto& shard : shards_) {
@@ -256,11 +296,10 @@ std::size_t ShardedEngine::active_sessions() const {
   return total;
 }
 
-std::size_t ShardedEngine::active_sessions_locked() const {
+std::size_t ShardedEngine::active_sessions_exact() const {
   std::size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard lock(shard->mutex);
-    total += shard->sw.active_connections();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    run_exclusive(s, [&] { total += shards_[s]->sw.active_connections(); });
   }
   return total;
 }
@@ -295,22 +334,13 @@ AdmissionPrecheck ShardedEngine::admission_precheck(std::size_t shard) const {
 
 void ShardedEngine::self_check() const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
-    // Capture instead of throwing out of the closure: in executor mode the
-    // body runs on a worker thread, and an exception escaping a worker
-    // would terminate the process instead of failing the caller.
-    std::exception_ptr error;
-    with_shard_exclusive(s, [this, s, &error] {
-      try {
-        shards_[s]->sw.network().self_check();
-      } catch (...) {
-        error = std::current_exception();
-      }
-    });
-    if (error) {
+    try {
+      run_exclusive(s, [&] { shards_[s]->sw.network().self_check(); });
+    } catch (...) {
       // The post-mortem window: what the shards did leading up to the
       // corruption, before the exception unwinds the run away.
       dump_flight_recorders(std::cerr);
-      std::rethrow_exception(error);
+      throw;
     }
   }
 }
@@ -463,7 +493,7 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // endpoints, so the grown copy can coexist with the original.
   MulticastRequest grown;
   bool found = false;
-  with_shard_exclusive(session.shard, [&] {
+  run_exclusive(session.shard, [&] {
     const auto* entry = source.sw.network().find_connection(session.connection);
     if (entry != nullptr) {
       grown = entry->first;
@@ -483,7 +513,7 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // fresh admission -- it bumps no connect tallies; a refusal counts as a
   // blocked grow on the shard that refused.
   std::optional<ConnectionId> grown_id;
-  with_shard_exclusive(target, [&] {
+  run_exclusive(target, [&] {
     grown_id = dest.sw.try_connect(grown);
     if (grown_id) {
       note_session_active(dest, *grown_id);
@@ -508,7 +538,7 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // A concurrent disconnect may have beaten us here; then the migration
   // loses and must roll the copy back.
   bool released = false;
-  with_shard_exclusive(session.shard, [&] {
+  run_exclusive(session.shard, [&] {
     if (source.sw.try_disconnect(session.connection)) {
       released = true;
       note_session_released(source, session.connection);
@@ -532,7 +562,7 @@ CrossGrowResult ShardedEngine::grow_to_shard(
   // Rollback (target exclusive): the session died mid-migration, so the
   // grown copy must not survive it. The copy's id never escaped (it is
   // returned only on success), so releasing it leaks nothing.
-  with_shard_exclusive(target, [&] {
+  run_exclusive(target, [&] {
     // try_disconnect (not a raw network release) so the router's caches see
     // the teardown through their usual repair hooks. It cannot fail: the
     // copy's id never left this function, so nothing else could release it.

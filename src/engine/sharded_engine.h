@@ -6,8 +6,8 @@
 // The engine scales the session plane the way modular Clos deployments scale
 // hardware -- and the way the AWG-based Clos literature decomposes fabrics
 // into independent planes: S full MultistageSwitch replicas ("shards"), each
-// guarded by its own mutex, with every session pinned to the shard that owns
-// its source port.
+// held exclusively by one thread at a time, with every session pinned to the
+// shard that owns its source port.
 //
 // Port ownership uses rendezvous (highest-random-weight) hashing: shard s
 // owns port p iff mix(p, s) is the maximum over all shards. That gives the
@@ -16,41 +16,39 @@
 //   * stable -- adding a shard moves only the ~N/(S+1) ports the new shard
 //     wins; no port ever moves between two surviving shards.
 //
-// Thread-safety contract: a shard's state is guarded by *exclusive shard
-// access*, which comes in two interchangeable flavors:
+// Thread-safety contract (DESIGN.md §3.13): a shard's state is touched only
+// by an *op* -- a closure run under the shard's claim flag, the one
+// exclusivity token. Every mutating call (connect / disconnect / grow /
+// run_exclusive) pushes its op into the shard's bounded MPSC queue
+// (util/mpsc_queue.h) and then, until the op has run, tries to claim the
+// shard and drain the queue itself (flat combining). Uncontended, the
+// caller runs its own op inline; contended, whichever caller holds the
+// claim runs the queued ops in FIFO order while the others wait for theirs
+// to finish. Ops run only on submitting threads -- the engine owns no
+// threads -- and an exception an op body throws reaches its own submitter.
+// The *_locked calls are op bodies: call them only inside run_exclusive on
+// their own shard. Never call the public API from inside an op body: the
+// nested op would wait on a claim its own caller holds.
 //
-//   * mutex mode (the default): the public session API (connect /
-//     disconnect / grow) locks exactly the owning shard, so sessions on
-//     distinct shards never contend. The *_locked variants are for drivers
-//     that batch many operations under one shard_mutex() hold (see
-//     churn_driver.h); they must be called with that mutex held.
-//
-//   * executor mode (DESIGN.md §3.13): while a ShardExecutor is attached
-//     (shard_executor.h), exclusivity comes from queue ownership instead --
-//     exactly one worker drains a shard's submission queue at a time, so
-//     the shard body runs with no mutex at all. The public session API
-//     transparently routes through the executor's queues in this mode; the
-//     *_locked variants are then for op bodies executing on the owning
-//     worker. Never take shard_mutex() while an executor is attached.
-//
-// Lock-free reads ride neither: is_active / find_session probe the
+// Lock-free reads take no claim: is_active / find_session probe the
 // per-shard session-generation table (obs/session_table.h) and
 // admission_precheck / active_sessions read the seqlock health-snapshot
-// spine (obs/health_snapshot.h) -- zero mutex acquisitions, safe from any
-// thread in either mode, even while every shard is saturated.
+// spine (obs/health_snapshot.h) -- safe from any thread, even while every
+// shard is held.
 //
 // Determinism across thread counts is a driver property: the engine itself
 // is deterministic per shard because a shard is just a serial
-// MultistageSwitch behind an exclusivity discipline.
+// MultistageSwitch behind one exclusivity discipline.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "multistage/builder.h"
@@ -59,10 +57,9 @@
 #include "obs/health_snapshot.h"
 #include "obs/session_table.h"
 #include "repack/repack.h"
+#include "util/mpsc_queue.h"
 
 namespace wdm::engine {
-
-class ShardExecutor;
 
 /// A live session: the owning shard plus the shard-local connection id.
 struct SessionId {
@@ -127,7 +124,7 @@ struct SessionProbe {
 /// margin read off the health-snapshot spine. `admit` is advisory -- the
 /// margin can change between the probe and a subsequent connect() -- but it
 /// is exact as of snapshot `version`, so admission control loops can shed
-/// load without ever touching a shard mutex.
+/// load without ever claiming a shard.
 struct AdmissionPrecheck {
   bool admit = false;
   /// bound_m - peak middle-stage occupancy (negative = over the bound, which
@@ -139,6 +136,15 @@ struct AdmissionPrecheck {
 
 class ShardedEngine {
  public:
+  /// Per-shard submission-queue capacity (a power of two). A submitter has
+  /// at most one op in flight, so only more than this many threads queueing
+  /// on one shard at once meet backpressure: a full queue makes the
+  /// submitter help drain until a cell frees.
+  static constexpr std::size_t kQueueCapacity = 32;
+  /// Max ops one claim executes before releasing the shard, bounding how
+  /// long a combining caller works for others after its own op has run.
+  static constexpr std::size_t kDrainQuantum = kQueueCapacity;
+
   explicit ShardedEngine(const EngineConfig& config);
 
   ShardedEngine(const ShardedEngine&) = delete;
@@ -154,7 +160,7 @@ class ShardedEngine {
   /// The source ports shard `shard` owns, ascending.
   [[nodiscard]] const std::vector<std::size_t>& owned_ports(std::size_t shard) const;
 
-  // -- session API (thread-safe: exclusive shard access, see header note) ---
+  // -- session API (thread-safe: each call is one op, see header note) -----
   /// Route + install on the owning shard; nullopt when inadmissible or
   /// blocked there.
   [[nodiscard]] std::optional<SessionId> connect(const MulticastRequest& request);
@@ -168,8 +174,8 @@ class ShardedEngine {
   /// shard replicas have independent endpoints, so the grown copy is
   /// admitted on `target` BEFORE the original comes down; if the original
   /// vanishes between the phases (concurrent disconnect), the copy is rolled
-  /// back and the call reports kStaleSession. Never holds two shards
-  /// exclusively at once.
+  /// back and the call reports kStaleSession. Never holds two shards'
+  /// claims at once.
   CrossGrowResult grow_to_shard(SessionId session,
                                 const WavelengthEndpoint& destination,
                                 std::size_t target);
@@ -182,12 +188,11 @@ class ShardedEngine {
                                 const WavelengthEndpoint& destination);
   /// Live sessions across all shards -- lock-free (sums the health-snapshot
   /// spine; each shard's count is individually consistent as of its latest
-  /// publish). At quiescence this equals active_sessions_locked() exactly.
+  /// publish). At quiescence this equals active_sessions_exact().
   [[nodiscard]] std::size_t active_sessions() const;
-  /// The locked reference count (locks each shard briefly); for tests that
-  /// verify the snapshot spine against ground truth at quiescence. Mutex
-  /// mode only -- never call while an executor is attached.
-  [[nodiscard]] std::size_t active_sessions_locked() const;
+  /// The exact reference count: one op per shard reads its replica's live
+  /// connections. For checking the snapshot spine against ground truth.
+  [[nodiscard]] std::size_t active_sessions_exact() const;
   /// Deep-check every shard replica (throws std::logic_error on corruption,
   /// after dumping every shard's flight recorder to stderr).
   void self_check() const;
@@ -195,7 +200,7 @@ class ShardedEngine {
   // -- lock-free session reads (obs/session_table.h) ------------------------
   /// True iff `session` currently names a live session: its slot's
   /// generation table entry is active under exactly the id's generation.
-  /// ZERO mutex acquisitions; safe while every shard queue is saturated.
+  /// Takes no claim; safe while every shard is held.
   /// Never true for a stale id -- generations are monotone per slot, so a
   /// released-and-reused slot carries a later generation than the stale id.
   [[nodiscard]] bool is_active(SessionId session) const;
@@ -212,10 +217,10 @@ class ShardedEngine {
   /// MAW-dominant).
   [[nodiscard]] const NonblockingBound& theorem_bound() const { return bound_; }
 
-  /// The shard's latest published health snapshot, read with ZERO mutex
-  /// acquisition (seqlock retry loop; see obs/health_snapshot.h). Safe from
-  /// any thread at any time -- including while every shard mutex is held by
-  /// someone else. Shards publish at every commit point (connect /
+  /// The shard's latest published health snapshot, read with no claim and
+  /// no lock (seqlock retry loop; see obs/health_snapshot.h). Safe from any
+  /// thread at any time -- including while every shard is held by someone
+  /// else. Shards publish at every commit point (connect /
   /// disconnect / grow / batch), plus once at construction, so the result is
   /// always a complete, internally consistent snapshot.
   [[nodiscard]] obs::EngineHealthSnapshot health_snapshot(std::size_t shard) const;
@@ -230,17 +235,29 @@ class ShardedEngine {
   /// written to WDM_FLIGHT_DUMP by run_benches for CI artifacts).
   void dump_flight_recorders(std::ostream& os) const;
 
-  // -- shard plumbing for batching drivers ----------------------------------
-  /// The mutex guarding shard `shard`'s switch. Hold it across any use of
-  /// shard_switch() or the *_locked calls.
-  [[nodiscard]] std::mutex& shard_mutex(std::size_t shard) const;
-  /// The shard's replica; requires shard_mutex(shard) (or a quiescent engine).
+  // -- shard ops for batching drivers ----------------------------------------
+  /// Run `fn()` as one op on shard `shard`: enqueue it, then help drain the
+  /// shard until it has run (see the header note). Returns after `fn`
+  /// returns; an exception `fn` throws is rethrown here, on the caller's
+  /// thread, whichever thread ran it. Never call from inside an op body.
+  /// Const because exclusivity is a read-side concern too (self_check).
+  template <typename Fn>
+  void run_exclusive(std::size_t shard, Fn&& fn) const {
+    using F = std::remove_reference_t<Fn>;
+    run_op(shard, [](void* ctx) { (*static_cast<F*>(ctx))(); },
+           const_cast<std::remove_const_t<F>*>(std::addressof(fn)));
+  }
+  /// Ops waiting in shard `shard`'s queue (a racy estimate: instruments and
+  /// tests only).
+  [[nodiscard]] std::size_t queued_ops(std::size_t shard) const;
+  /// The shard's replica; only inside an op on `shard` (or on a quiescent
+  /// engine).
   [[nodiscard]] MultistageSwitch& shard_switch(std::size_t shard);
 
-  /// connect/disconnect/grow bodies without the lock; callers hold
-  /// shard_mutex(shard). connect_locked does NOT re-check ownership of the
-  /// request's source port -- drivers that generate per-shard traffic from
-  /// owned_ports() satisfy it by construction.
+  /// connect/disconnect/grow bodies: op bodies, called only inside
+  /// run_exclusive on `shard`. connect_locked does NOT re-check ownership of
+  /// the request's source port -- drivers that generate per-shard traffic
+  /// from owned_ports() satisfy it by construction.
   [[nodiscard]] std::optional<ConnectionId> connect_locked(
       std::size_t shard, const MulticastRequest& request);
   /// Batched connect_locked: one Router::connect_batch call on the shard's
@@ -253,26 +270,30 @@ class ShardedEngine {
   GrowResult grow_locked(std::size_t shard, ConnectionId id,
                          const WavelengthEndpoint& destination);
 
-  // -- executor seam (shard_executor.h, DESIGN.md §3.13) --------------------
-  /// Route the public session API through `executor`'s per-shard submission
-  /// queues (single-writer mode). Pass nullptr to detach (the executor does
-  /// this from its destructor after quiescing). Attach/detach only at
-  /// quiescence -- in-flight public calls on the old path would race the
-  /// mode switch.
-  void attach_executor(ShardExecutor* executor);
-  [[nodiscard]] ShardExecutor* executor() const {
-    return executor_.load(std::memory_order_acquire);
-  }
-
  private:
-  friend class ShardExecutor;
-  /// Mutex + replica, heap-pinned (mutexes are immovable) and padded so two
-  /// shards' hot state never shares a cache line. The observability tail
-  /// (tallies, flight ring, seqlock slot, encode scratch) is written only
-  /// under `mutex`; the seqlock slot is additionally read lock-free.
+  /// One op: a type-erased closure plus its completion state, on its
+  /// submitter's stack -- the submitter waits for `done`, so the op
+  /// outlives its stay in the queue. The runner stores `error` (if the
+  /// body threw) before the release store of `done`.
+  struct Op {
+    void (*fn)(void*) = nullptr;
+    void* ctx = nullptr;
+    std::uint64_t enqueue_ns = 0;  // engine.op_wait_ns sample origin
+    std::exception_ptr error;
+    std::atomic<bool> done{false};
+  };
+
+  /// Submission lane + replica, heap-pinned (atomics are immovable) and
+  /// padded so two shards' hot state never shares a cache line. Everything
+  /// but `queue`, `claimed`, `health`, `session_table` and `flight`'s dump
+  /// side (which locks the ring itself) is touched only by the holder of
+  /// `claimed`.
   struct alignas(64) Shard {
     Shard(std::uint32_t index, const EngineConfig& config);
-    mutable std::mutex mutex;
+    BoundedMpscQueue<Op*> queue{kQueueCapacity};
+    /// The exclusivity token: acquire-exchange to claim, release-store to
+    /// release, so each holder's writes happen-before the next holder's.
+    std::atomic<bool> claimed{false};
     MultistageSwitch sw;
     // Deterministic per-shard churn tallies (mirror the engine.* counters).
     std::uint64_t connects = 0;
@@ -292,20 +313,17 @@ class ShardedEngine {
   };
 
   /// Encode the shard's current state and publish it through the seqlock
-  /// slot. Requires exclusive shard access (the single-writer contract).
+  /// slot. Only inside an op (the single-writer contract).
   void publish_health(Shard& shard);
 
-  /// Run `fn` with exclusive access to shard `shard`: a lock_guard in mutex
-  /// mode, a submitted task (awaited) in executor mode. The unit of the
-  /// two-phase cross-shard grow -- each phase claims exactly one shard, so
-  /// no lock ordering between shards ever exists. Const because exclusivity
-  /// is a read-side concern too (self_check); `fn` mutates shard state only
-  /// through the engine's own mutable paths.
-  void with_shard_exclusive(std::size_t shard,
-                            const std::function<void()>& fn) const;
+  /// run_exclusive's body: push the op, then drain until it is done.
+  void run_op(std::size_t shard, void (*fn)(void*), void* ctx) const;
+  /// Claim `shard` if free and run up to kDrainQuantum queued ops; false
+  /// when another thread holds the claim.
+  static bool drain(Shard& shard);
 
   /// Sync the session-generation table after an op that renewed or released
-  /// ids. Requires exclusive shard access.
+  /// ids. Only inside an op.
   void note_session_active(Shard& shard, ConnectionId id);
   void note_session_released(Shard& shard, ConnectionId id);
 
@@ -313,7 +331,6 @@ class ShardedEngine {
   NonblockingBound bound_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::vector<std::size_t>> owned_ports_;  // [shard] -> ports
-  std::atomic<ShardExecutor*> executor_{nullptr};
 
  public:
   /// Test seam: runs between phase 2 (grown copy admitted on the target) and

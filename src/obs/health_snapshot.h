@@ -1,19 +1,19 @@
 // Lock-free engine health snapshots: seqlock-published per-shard state.
 //
-// The sharded engine serializes every mutation behind per-shard mutexes
-// (engine/sharded_engine.h). Monitoring must not join that queue: an
+// The sharded engine serializes every mutation behind per-shard claim
+// flags (engine/sharded_engine.h). Monitoring must not join that queue: an
 // admission controller polling "how much Theorem-1 margin is left?" or a
 // dashboard reading occupancy skew would otherwise contend with the churn
 // hot path it is trying to observe. This header is the read-path split the
 // ROADMAP's engine-scaling item starts with -- shards *publish* a fixed-size
 // health snapshot at every commit point (connect / disconnect / grow /
-// batch), and any thread can read the latest one with zero mutex
-// acquisition.
+// batch), and any thread can read the latest one with no claim and no
+// lock.
 //
 // Publication protocol (DESIGN.md §3.11): a classic single-writer seqlock
 // over a flat array of relaxed-atomic uint64 words.
 //
-//   writer (holds the shard mutex, so writes never race each other):
+//   writer (holds the shard claim, so writes never race each other):
 //     seq.store(s+1, relaxed);              // odd = write in progress
 //     atomic_thread_fence(release);
 //     words[i].store(..., relaxed);         // payload
@@ -48,7 +48,7 @@ namespace wdm::obs {
 
 /// One shard's published health state. Decoded from a seqlock slot; every
 /// field is a point-in-time-consistent view of the shard (all fields were
-/// published together under the shard mutex).
+/// published together under the shard claim).
 struct EngineHealthSnapshot {
   /// Publish count of the owning shard; strictly increasing per shard, so a
   /// poller can tell "new data" from "same data" without reading the rest.
@@ -121,7 +121,7 @@ struct EngineHealthSnapshot {
 
 /// Single-writer seqlock cell over a fixed number of uint64 payload words.
 /// The writer must be externally serialized (the engine publishes under the
-/// shard mutex); readers take no lock, ever.
+/// shard claim); readers take no lock, ever.
 class SeqlockSnapshotSlot {
  public:
   explicit SeqlockSnapshotSlot(std::size_t words);

@@ -108,8 +108,8 @@ void TelemetrySampler::run_loop() {
 std::size_t TelemetrySampler::take_sample() {
   const std::vector<EngineHealthSnapshot> shards = engine_->health_snapshots();
   // Flight-recorder loss rides along so consumers (telemetry_summary) can
-  // report whether the op window is complete. Reads the ring's own mutex,
-  // never a shard mutex.
+  // report whether the op window is complete. Takes the ring's own mutex,
+  // never a shard claim.
   std::vector<std::uint64_t> flight_dropped(shards.size(), 0);
   for (std::size_t s = 0; s < shards.size(); ++s) {
     flight_dropped[s] = engine_->flight_dump(s).dropped;

@@ -1,13 +1,12 @@
 // Bounded multi-producer queue: the per-shard submission spine of the
-// single-writer engine (DESIGN.md §3.13).
+// sharded engine (DESIGN.md §3.13).
 //
-// The sharded engine's executor replaces lock-per-op with op shipping: any
-// thread may *submit* an operation to a shard, but exactly one worker at a
-// time *executes* a shard's operations, so the shard body itself runs with
-// no mutex at all. This header is the queue that carries the ops: Dmitry
-// Vyukov's bounded MPMC ring, used here with many producers and one consumer
-// at a time (consumption is serialized by shard ownership, not by the
-// queue).
+// Any thread may *submit* an operation to a shard, but exactly one thread
+// at a time -- the holder of the shard's claim flag -- *executes* a shard's
+// operations, so the shard body itself runs with no mutex at all. This
+// header is the queue that carries the ops: Dmitry Vyukov's bounded MPMC
+// ring, used here with many producers and one consumer at a time
+// (consumption is serialized by the claim, not by the queue).
 //
 // Protocol: every cell carries an atomic sequence number. A cell is ready
 // for the producer whose ticket equals its sequence, and ready for the
@@ -19,9 +18,9 @@
 // without any shared counter.
 //
 // Why bounded: the queue doubles as the engine's backpressure. A full shard
-// queue makes submitters wait (ShardExecutor::submit spins/yields), which is
-// exactly the admission-control behavior a saturated shard should have --
-// unbounded queues would just move the overload into memory. Capacity is
+// queue makes submitters wait (and help drain; ShardedEngine::run_op),
+// which is exactly the admission-control behavior a saturated shard should
+// have -- unbounded queues would just move the overload into memory. Capacity is
 // rounded up to a power of two so the ring index is a mask, not a modulo.
 //
 // Determinism note: per shard the queue is FIFO across producers only in
@@ -86,9 +85,9 @@ class BoundedMpscQueue {
   }
 
   /// Single-consumer pop; false when empty. Callers must serialize pops
-  /// externally (the executor's shard-ownership flag does this).
+  /// externally (the engine's per-shard claim flag does this).
   bool try_pop(T& out) {
-    const std::size_t ticket = head_;
+    const std::size_t ticket = head_.load(std::memory_order_relaxed);
     Cell& cell = cells_[ticket & mask_];
     const std::size_t seq = cell.sequence.load(std::memory_order_acquire);
     if (static_cast<std::intptr_t>(seq) -
@@ -97,22 +96,16 @@ class BoundedMpscQueue {
     }
     out = std::move(cell.value);
     cell.sequence.store(ticket + mask_ + 1, std::memory_order_release);
-    head_ = ticket + 1;
+    head_.store(ticket + 1, std::memory_order_relaxed);
     return true;
   }
 
-  /// Racy size estimate (submission-side instrumentation only; the engine's
-  /// queue-depth histogram samples this, nothing correctness-bearing does).
+  /// Racy size estimate (instrumentation only; the engine's queue-depth
+  /// histogram samples this, nothing correctness-bearing does).
   [[nodiscard]] std::size_t approx_size() const {
     const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_approx_.load(std::memory_order_relaxed);
+    const std::size_t head = head_.load(std::memory_order_relaxed);
     return tail >= head ? tail - head : 0;
-  }
-
-  /// Consumer-side bookkeeping for approx_size (relaxed mirror of the
-  /// consumer-private head cursor; called by the consumer after pops).
-  void sync_approx_head() {
-    head_approx_.store(head_, std::memory_order_relaxed);
   }
 
  private:
@@ -129,11 +122,11 @@ class BoundedMpscQueue {
   const std::size_t mask_;
   std::unique_ptr<Cell[]> cells_;
   /// Producer cursor (tickets). Padded away from the consumer cursor so
-  /// submitters and the draining worker do not false-share.
+  /// submitters and the draining thread do not false-share.
   alignas(64) std::atomic<std::size_t> tail_{0};
-  /// Consumer cursor: plain memory, single consumer by contract.
-  alignas(64) std::size_t head_ = 0;
-  std::atomic<std::size_t> head_approx_{0};
+  /// Consumer cursor: written only by the (single) consumer; atomic so
+  /// approx_size can read it from any thread.
+  alignas(64) std::atomic<std::size_t> head_{0};
 };
 
 }  // namespace wdm

@@ -1,23 +1,27 @@
-// Single-writer shard execution (DESIGN.md §3.13): the MPSC submission
-// queue, the ShardExecutor's exclusivity + FIFO guarantees, queued-mode
-// ChurnDriver determinism across worker counts and queue depths, cross-shard
-// grow (two-phase, with deterministic rollback via the test hook), and the
-// lock-free read surface (is_active / find_session / admission_precheck /
-// snapshot-spine active_sessions) agreeing with locked ground truth.
+// The shard executor (DESIGN.md §3.13): the MPSC submission queue, the
+// engine's claim-flag exclusivity with caller-runs flat combining (FIFO,
+// exceptions delivered to their own submitter, backpressure on a full
+// queue), ChurnDriver determinism across worker counts, batch sizes and
+// connect_batch values, cross-shard grow (two-phase, with deterministic
+// rollback via the test hook), and the lock-free read surface (is_active /
+// find_session / admission_precheck / snapshot-spine active_sessions)
+// agreeing with the exact ground truth.
 //
 // Runs under the tsan ctest label: the exclusivity handoff (claim-flag
 // release/acquire) and the ticket publication are exactly the kind of
 // protocol TSan can falsify.
-#include "engine/shard_executor.h"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "engine/churn_driver.h"
 #include "engine/sharded_engine.h"
+#include "util/metrics.h"
 #include "util/mpsc_queue.h"
 
 namespace wdm::engine {
@@ -97,10 +101,36 @@ TEST(BoundedMpscQueue, MultiProducerSingleConsumerDeliversEverything) {
 
 // -- ShardExecutor op round-trips --------------------------------------------
 
+/// Parks one thread inside an op on `shard` (holding its claim) until
+/// release() -- the test handle on "this shard is busy right now".
+class ParkedOp {
+ public:
+  ParkedOp(const ShardedEngine& engine, std::size_t shard)
+      : thread_([this, &engine, shard] {
+          engine.run_exclusive(shard, [this] {
+            parked_.store(true, std::memory_order_release);
+            while (!released_.load(std::memory_order_acquire)) {
+              std::this_thread::yield();
+            }
+          });
+        }) {
+    while (!parked_.load(std::memory_order_acquire)) std::this_thread::yield();
+  }
+  ~ParkedOp() {
+    release();
+    thread_.join();
+  }
+  void release() { released_.store(true, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> parked_{false};
+  std::atomic<bool> released_{false};
+  std::thread thread_;
+};
+
 TEST(ShardExecutor, PublicSessionApiRoutesThroughTheExecutor) {
   ShardedEngine engine(small_config());
-  ShardExecutor executor(engine, {.workers = 2, .queue_capacity = 16});
-  ASSERT_EQ(engine.executor(), &executor);
+  const std::uint64_t waits_before = metrics().timer("engine.op_wait_ns").count();
 
   const auto session = engine.connect({{0, 0}, {{3, 0}, {5, 0}}});
   ASSERT_TRUE(session.has_value());
@@ -112,25 +142,18 @@ TEST(ShardExecutor, PublicSessionApiRoutesThroughTheExecutor) {
   EXPECT_FALSE(engine.is_active(*session));  // break-before-make renewed id
   EXPECT_TRUE(engine.is_active({session->shard, grown.connection}));
 
-  engine.self_check();  // executor-mode self_check runs as owned tasks
+  engine.self_check();  // one op per shard
 
   EXPECT_TRUE(engine.disconnect({session->shard, grown.connection}));
   EXPECT_FALSE(engine.disconnect({session->shard, grown.connection}));
   EXPECT_EQ(engine.active_sessions(), 0u);
-  EXPECT_GE(executor.executed_ops(), 5u);
-}
-
-TEST(ShardExecutor, DetachesOnDestruction) {
-  ShardedEngine engine(small_config());
-  {
-    ShardExecutor executor(engine, {.workers = 1});
-    EXPECT_EQ(engine.executor(), &executor);
+  EXPECT_EQ(engine.active_sessions_exact(), 0u);
+  // Every op rode a shard queue: connect, grow, 3 self-checks, 2
+  // disconnects and 3 exact counts each left an op-wait sample.
+  if (metrics_enabled()) {
+    EXPECT_GE(metrics().timer("engine.op_wait_ns").count() - waits_before,
+              10u);
   }
-  EXPECT_EQ(engine.executor(), nullptr);
-  // Mutex mode works again after detach.
-  const auto session = engine.connect({{0, 0}, {{3, 0}}});
-  ASSERT_TRUE(session.has_value());
-  EXPECT_TRUE(engine.disconnect(*session));
 }
 
 TEST(ShardExecutor, ConcurrentSubmittersOnEveryShard) {
@@ -138,7 +161,6 @@ TEST(ShardExecutor, ConcurrentSubmittersOnEveryShard) {
   // engine must stay consistent (self_check) and end empty. TSan-audited
   // exclusivity is the real assertion here.
   ShardedEngine engine(small_config());
-  ShardExecutor executor(engine, {.workers = 3, .queue_capacity = 8});
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 200;
   std::vector<std::thread> clients;
@@ -158,55 +180,121 @@ TEST(ShardExecutor, ConcurrentSubmittersOnEveryShard) {
     });
   }
   for (std::thread& t : clients) t.join();
-  executor.quiesce();
   engine.self_check();
   EXPECT_EQ(engine.active_sessions(), 0u);
+  EXPECT_EQ(engine.active_sessions_exact(), 0u);
 }
 
-// -- queued-mode ChurnDriver determinism -------------------------------------
+TEST(ShardExecutor, ExceptionReachesItsOwnSubmitter) {
+  // A throwing op queued behind a parked op runs on the PARKED thread (the
+  // claim holder drains it), yet its exception must surface at its own
+  // submitter -- never on the draining thread -- and the claim must be
+  // released so the shard stays usable.
+  ShardedEngine engine(small_config());
+  std::thread::id submitted_on;
+  std::thread::id ran_on;
+  bool caught = false;
+  {
+    ParkedOp parked(engine, 0);
+    std::thread submitter([&] {
+      submitted_on = std::this_thread::get_id();
+      try {
+        engine.run_exclusive(0, [&] {
+          ran_on = std::this_thread::get_id();
+          throw std::runtime_error("op body failed");
+        });
+      } catch (const std::runtime_error& error) {
+        caught = std::string(error.what()) == "op body failed";
+      }
+    });
+    while (engine.queued_ops(0) == 0) std::this_thread::yield();
+    parked.release();  // the parked thread drains the throwing op, unharmed
+    submitter.join();
+  }
+  EXPECT_TRUE(caught);
+  EXPECT_NE(ran_on, submitted_on);  // drained by a different thread
+  EXPECT_EQ(engine.queued_ops(0), 0u);
 
-ChurnConfig queued_churn_config(std::size_t workers, std::size_t queue_depth) {
-  ChurnConfig config;
-  config.ops_per_shard = 1200;
-  config.batch = 32;
-  config.workers = workers;
-  config.queued = true;
-  config.queue_depth = queue_depth;
-  config.self_check_every = 400;
-  return config;
+  // The claim was released: the shard still serves ops.
+  bool ran = false;
+  engine.run_exclusive(0, [&] { ran = true; });
+  EXPECT_TRUE(ran);
+  for (const std::size_t port : engine.owned_ports(0)) {
+    const auto session = engine.connect({{port, 0}, {{(port + 3) % 8, 0}}});
+    ASSERT_TRUE(session.has_value());
+    EXPECT_TRUE(engine.disconnect(*session));
+  }
+  engine.self_check();
 }
 
-TEST(QueuedChurn, BitIdenticalAcrossWorkersAndQueueDepths) {
-  // The tentpole's determinism gate: ChurnStats -- every counter, every
-  // shard -- identical for any (workers, queue_depth) on the queued path,
-  // and identical to the serial replay and the locked path.
-  std::optional<ChurnStats> reference;
+TEST(ShardExecutor, FullQueueBackpressuresUntilTheClaimFreesIt) {
+  // Park shard 0, then submit more ops than its queue holds: the queue
+  // fills to capacity and the surplus submitters wait in the backpressure
+  // loop. Releasing the claim must let every op run exactly once, in a
+  // shard that stays consistent.
+  ShardedEngine engine(small_config());
+  constexpr std::size_t kSurplus = 3;
+  constexpr std::size_t kSubmitters = ShardedEngine::kQueueCapacity + kSurplus;
+  std::atomic<std::size_t> entered{0};
+  std::size_t executed = 0;  // written only inside ops on shard 0
+  std::vector<std::thread> submitters;
   {
-    ShardedEngine engine(small_config());
-    ChurnDriver driver(engine, queued_churn_config(1, 1024));
-    reference = driver.run_serial();
+    ParkedOp parked(engine, 0);
+    submitters.reserve(kSubmitters);
+    for (std::size_t t = 0; t < kSubmitters; ++t) {
+      submitters.emplace_back([&] {
+        entered.fetch_add(1);
+        engine.run_exclusive(0, [&] { ++executed; });
+      });
+    }
+    while (engine.queued_ops(0) < ShardedEngine::kQueueCapacity) {
+      std::this_thread::yield();
+    }
+    while (entered.load() < kSubmitters) std::this_thread::yield();
+    EXPECT_EQ(engine.queued_ops(0), ShardedEngine::kQueueCapacity);
+    // Give the surplus submitters time to reach the full queue.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(engine.queued_ops(0), ShardedEngine::kQueueCapacity);
   }
-  {
-    // Locked (mutex) path agreement.
-    ShardedEngine engine(small_config());
-    ChurnConfig locked = queued_churn_config(2, 1024);
-    locked.queued = false;
-    ChurnDriver driver(engine, locked);
-    EXPECT_EQ(driver.run(), *reference) << "locked path diverged";
-  }
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t queue_depth : {2u, 64u}) {
+  for (std::thread& t : submitters) t.join();
+  std::size_t total = 0;
+  engine.run_exclusive(0, [&] { total = executed; });
+  EXPECT_EQ(total, kSubmitters);
+  EXPECT_EQ(engine.queued_ops(0), 0u);
+  engine.self_check();
+}
+
+// -- ChurnDriver determinism -------------------------------------------------
+
+TEST(QueuedChurn, BitIdenticalToSerialAcrossWorkersBatchesAndConnectBatches) {
+  // The determinism gate: ChurnStats -- every counter, every shard --
+  // identical to the serial replay for every (workers, batch,
+  // connect_batch) cell, classic (connect_batch 0) and batched arrivals.
+  for (const std::size_t connect_batch : {0u, 8u, 32u}) {
+    ChurnConfig config;
+    config.ops_per_shard = 300;
+    config.connect_batch = connect_batch;
+    config.self_check_every = 150;
+    std::optional<ChurnStats> reference;
+    {
       ShardedEngine engine(small_config());
-      ChurnDriver driver(engine, queued_churn_config(workers, queue_depth));
-      const ChurnStats stats = driver.run();
-      EXPECT_EQ(stats, *reference)
-          << "workers=" << workers << " queue_depth=" << queue_depth
-          << "\n got " << stats.to_string() << "\n want "
-          << reference->to_string();
-      EXPECT_EQ(stats.total.stale_accepted, 0u);
-      // Post-run the executor has detached; locked and snapshot counts agree.
-      EXPECT_EQ(engine.executor(), nullptr);
-      EXPECT_EQ(engine.active_sessions(), engine.active_sessions_locked());
+      reference = ChurnDriver(engine, config).run_serial();
+    }
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+      ThreadPool pool(workers);
+      for (const std::size_t batch : {1u, 8u, 64u}) {
+        config.workers = workers;
+        config.batch = batch;
+        ShardedEngine engine(small_config());
+        const ChurnStats stats = ChurnDriver(engine, config).run(pool);
+        EXPECT_EQ(stats, *reference)
+            << "workers=" << workers << " batch=" << batch
+            << " connect_batch=" << connect_batch << "\n got "
+            << stats.to_string() << "\n want " << reference->to_string();
+        EXPECT_EQ(stats.total.stale_accepted, 0u);
+        EXPECT_EQ(engine.active_sessions(), engine.active_sessions_exact());
+        EXPECT_EQ(engine.active_sessions(), stats.leftover_sessions);
+      }
     }
   }
 }
@@ -222,13 +310,12 @@ TEST(QueuedChurn, BatchedArrivalsStayDeterministicWhenQueued) {
     ChurnDriver driver(engine, config);
     reference = driver.run_serial();
   }
-  config.queued = true;
   for (const std::size_t workers : {1u, 3u}) {
     config.workers = workers;
-    config.queue_depth = 4;
     ShardedEngine engine(small_config());
     ChurnDriver driver(engine, config);
-    EXPECT_EQ(driver.run(), *reference) << "workers=" << workers;
+    ThreadPool pool(workers);
+    EXPECT_EQ(driver.run(pool), *reference) << "workers=" << workers;
   }
 }
 
@@ -265,15 +352,15 @@ TEST(LockFreeReads, FindSessionAndPrecheck) {
 }
 
 TEST(LockFreeReads, ActiveSessionsAgreesWithLockedAtQuiescence) {
-  // Satellite 1's agreement gate: drive real churn, then compare the
-  // snapshot-spine sum against the per-shard locked ground truth.
+  // The agreement gate: drive real churn, then compare the snapshot-spine
+  // sum against the exact per-shard count.
   ShardedEngine engine(small_config());
   ChurnConfig config;
   config.ops_per_shard = 1500;
   config.workers = 4;
   ChurnDriver driver(engine, config);
   const ChurnStats stats = driver.run();
-  EXPECT_EQ(engine.active_sessions(), engine.active_sessions_locked());
+  EXPECT_EQ(engine.active_sessions(), engine.active_sessions_exact());
   EXPECT_EQ(engine.active_sessions(), stats.leftover_sessions);
 }
 
@@ -362,19 +449,28 @@ TEST(CrossShardGrow, ConcurrentDisconnectTriggersRollback) {
   EXPECT_TRUE(hook_ran);
   EXPECT_EQ(result.status, GrowResult::Status::kStaleSession);
   EXPECT_EQ(engine.active_sessions(), 0u);  // rollback released the copy
-  EXPECT_EQ(engine.active_sessions_locked(), 0u);
+  EXPECT_EQ(engine.active_sessions_exact(), 0u);
   engine.self_check();
 }
 
 TEST(CrossShardGrow, WorksThroughTheExecutor) {
+  // Each phase is one op; with the target shard parked, phase 2 queues
+  // behind the parked op and runs on the parked thread once it lets go.
   ShardedEngine engine(small_config());
-  ShardExecutor executor(engine, {.workers = 2});
   const CrossPair pair = connect_for_migration(engine);
-  const CrossGrowResult result = engine.grow_to_shard(pair.session, {5, 0},
-                                                      pair.target);
+  CrossGrowResult result;
+  {
+    ParkedOp parked(engine, pair.target);
+    std::thread grower([&] {
+      result = engine.grow_to_shard(pair.session, {5, 0}, pair.target);
+    });
+    while (engine.queued_ops(pair.target) == 0) std::this_thread::yield();
+    parked.release();
+    grower.join();
+  }
   ASSERT_EQ(result.status, GrowResult::Status::kGrown);
   EXPECT_TRUE(engine.is_active(result.session));
-  executor.quiesce();
+  EXPECT_EQ(engine.active_sessions_exact(), 1u);
   engine.self_check();
 }
 

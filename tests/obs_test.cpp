@@ -1,14 +1,14 @@
 // Observability plane: EngineHealthSnapshot encode/decode and seqlock
 // publication, the per-shard flight recorder ring, the engine's commit-point
-// publication contract (snapshots readable with zero mutex acquisition, even
-// while every shard mutex is held), agreement between engine tallies and
+// publication contract (every lock-free read completes with no claim, even
+// while every shard is held), agreement between engine tallies and
 // ChurnDriver stats, and the wdm-telemetry/1 sampler.
 #include "obs/health_snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -210,31 +210,69 @@ TEST(EngineObservability, SnapshotsTrackCommitPoints) {
   EXPECT_TRUE(after_disconnect.consistent());
 }
 
-TEST(EngineObservability, SnapshotReadsTakeNoShardMutex) {
-  // The acceptance check for the lock-free claim: hold EVERY shard mutex and
-  // read fresh snapshots anyway. Any mutex acquisition in the read path
-  // would deadlock here (and the 5-second watchdog would flag it).
+TEST(EngineObservability, LockFreeReadsCompleteUnderFullExclusivity) {
+  // The acceptance check for the lock-free claim: park one thread inside an
+  // op on EVERY shard, then run every lock-free read from another thread.
+  // A read that needed a shard's claim would wait for the parked op, so the
+  // reader would miss the watchdog below.
   ShardedEngine engine(small_config());
   const auto session = engine.connect({{0, 0}, {{3, 0}}});
   ASSERT_TRUE(session.has_value());
 
-  std::vector<std::unique_lock<std::mutex>> held;
-  held.reserve(engine.shard_count());
-  for (std::size_t s = 0; s < engine.shard_count(); ++s) {
-    held.emplace_back(engine.shard_mutex(s));
+  const std::size_t shards = engine.shard_count();
+  std::atomic<std::size_t> parked{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> holders;
+  holders.reserve(shards);
+  for (std::size_t s = 0; s < shards; ++s) {
+    holders.emplace_back([&, s] {
+      engine.run_exclusive(s, [&] {
+        parked.fetch_add(1);
+        while (!release.load()) std::this_thread::yield();
+      });
+    });
   }
+  while (parked.load() < shards) std::this_thread::yield();
 
+  std::atomic<bool> reader_done{false};
   std::vector<EngineHealthSnapshot> snapshots;
-  std::thread reader([&] { snapshots = engine.health_snapshots(); });
+  std::vector<engine::AdmissionPrecheck> prechecks;
+  std::size_t sessions_read = 0;
+  bool active = false;
+  bool found = false;
+  std::thread reader([&] {
+    snapshots = engine.health_snapshots();
+    for (std::size_t s = 0; s < shards; ++s) {
+      prechecks.push_back(engine.admission_precheck(s));
+    }
+    sessions_read = engine.active_sessions();
+    active = engine.is_active(*session);
+    found = engine.find_session(*session).has_value();
+    reader_done.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!reader_done.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished_while_held = reader_done.load();
+  release.store(true);
+  for (std::thread& t : holders) t.join();
   reader.join();
 
-  ASSERT_EQ(snapshots.size(), engine.shard_count());
+  ASSERT_TRUE(finished_while_held) << "a lock-free read waited on a claim";
+  ASSERT_EQ(snapshots.size(), shards);
   std::uint64_t sessions = 0;
   for (const EngineHealthSnapshot& snapshot : snapshots) {
     EXPECT_TRUE(snapshot.consistent());
     sessions += snapshot.sessions;
   }
   EXPECT_EQ(sessions, 1u);  // fresh state, not a stale pre-connect view
+  ASSERT_EQ(prechecks.size(), shards);
+  EXPECT_EQ(prechecks[session->shard].sessions, 1u);
+  EXPECT_EQ(sessions_read, 1u);
+  EXPECT_TRUE(active);
+  EXPECT_TRUE(found);
 }
 
 TEST(EngineObservability, TalliesAgreeWithChurnStats) {

@@ -12,8 +12,10 @@
 // interleaving here would validate a dead id -- and TSan would flag the race
 // even when the assertion happens to pass.
 //
-// Structure: one writer thread churns sessions through the public engine API
-// (mutex mode and executor mode both covered); reader threads continuously
+// Structure: one or two writer threads churn sessions through the public
+// engine API on both shards. With one writer every op runs inline on its
+// submitter; with two, an op may also run on the other writer while that one
+// holds the claim (flat combining). Reader threads continuously
 // (a) probe ids the writer has retired -- handed over through a seqlock-ish
 // release/acquire mailbox -- and assert they never validate, and (b) probe
 // the writer's latest-live mailbox, where BOTH outcomes are legal (the probe
@@ -25,7 +27,6 @@
 #include <thread>
 #include <vector>
 
-#include "engine/shard_executor.h"
 #include "engine/sharded_engine.h"
 #include "multistage/network.h"
 
@@ -39,8 +40,8 @@ EngineConfig hammer_config() {
   return config;
 }
 
-/// Single-writer mailbox handing ConnectionId-sized values to racing
-/// readers. 0 means "nothing yet"; generations start at 1 so no real id
+/// Mailbox handing ConnectionId-sized values to racing readers (last post
+/// wins). 0 means "nothing yet"; generations start at 1 so no real id
 /// encodes to 0 (network.h make_id).
 struct IdMailbox {
   std::atomic<std::uint64_t> word{0};
@@ -53,7 +54,8 @@ struct IdMailbox {
   }
 };
 
-void hammer(ShardedEngine& engine, std::size_t seconds_budget_ops) {
+void hammer(ShardedEngine& engine, int writer_count,
+            std::size_t ops_per_writer) {
   const std::size_t shard_count = engine.shard_count();
   // Per-shard mailboxes: retired ids (must NEVER validate) and live ids
   // (may validate; if so, must decode exactly).
@@ -101,44 +103,57 @@ void hammer(ShardedEngine& engine, std::size_t seconds_budget_ops) {
     });
   }
 
-  // Writer: connect / immediately disconnect, cycling slots as fast as the
-  // engine allows. Alternating ports and lanes varies the slot-reuse
-  // pattern; every retirement is published to the readers.
-  std::uint64_t cycles = 0;
-  for (std::size_t i = 0; i < seconds_budget_ops; ++i) {
-    const std::size_t port = i % engine.port_count();
-    const auto lane = static_cast<Wavelength>(i % 2);
-    const auto session =
-        engine.connect({{port, lane}, {{(port + 3) % engine.port_count(), lane}}});
-    if (!session) continue;
-    live[session->shard].post(*session);
-    ASSERT_TRUE(engine.disconnect(*session));
-    retired[session->shard].post(*session);
-    ++cycles;
+  // Writers: connect / immediately disconnect, cycling slots as fast as the
+  // engine allows. Writer w owns lane w, so writers never contend for an
+  // endpoint; alternating ports varies the slot-reuse pattern. Every
+  // retirement is published to the readers.
+  ASSERT_GE(writer_count, 1);
+  ASSERT_LE(static_cast<std::size_t>(writer_count), engine.config().params.k);
+  std::atomic<std::uint64_t> cycles{0};
+  std::atomic<std::uint64_t> lost{0};
+  std::vector<std::thread> writers;
+  writers.reserve(static_cast<std::size_t>(writer_count));
+  for (int w = 0; w < writer_count; ++w) {
+    writers.emplace_back([&, w] {
+      const auto lane = static_cast<Wavelength>(w);
+      for (std::size_t i = 0; i < ops_per_writer; ++i) {
+        const std::size_t port = i % engine.port_count();
+        const auto session = engine.connect(
+            {{port, lane}, {{(port + 3) % engine.port_count(), lane}}});
+        if (!session) continue;
+        live[session->shard].post(*session);
+        if (!engine.disconnect(*session)) lost.fetch_add(1);
+        retired[session->shard].post(*session);
+        cycles.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
+  for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   for (std::thread& t : readers) t.join();
 
   EXPECT_EQ(stale_validations.load(), 0u)
       << "a stale id validated on the lock-free read path";
-  EXPECT_GT(cycles, 0u);
+  EXPECT_EQ(lost.load(), 0u) << "a live session was rejected as stale";
+  EXPECT_GT(cycles.load(), 0u);
   EXPECT_GT(probes.load(), 0u);
   EXPECT_EQ(engine.active_sessions(), 0u);
   engine.self_check();
 }
 
+// The two cases keep the names of the engine's former execution modes. A
+// single writer reproduces the old mutex mode's shape: each op runs on the
+// thread that submitted it. Two writers reproduce the old executor mode's:
+// an op may run on a thread other than its submitter, racing the readers
+// against table updates from either writer.
 TEST(StaleReadHammer, MutexModeNeverValidatesAStaleId) {
   ShardedEngine engine(hammer_config());
-  hammer(engine, 20000);
+  hammer(engine, 1, 20000);
 }
 
 TEST(StaleReadHammer, ExecutorModeNeverValidatesAStaleId) {
-  // Same race with the single-writer executor attached: the writer's ops
-  // ship through shard queues and execute on workers, so the reader races
-  // the table updates against a different thread than the submitter.
   ShardedEngine engine(hammer_config());
-  ShardExecutor executor(engine, {.workers = 2, .queue_capacity = 64});
-  hammer(engine, 12000);
+  hammer(engine, 2, 12000);
 }
 
 TEST(StaleReadHammer, GrowRenewalsRetireTheOldIdAtomically) {

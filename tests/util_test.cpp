@@ -10,7 +10,6 @@
 
 #include "util/biguint.h"
 #include "util/cli.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
@@ -252,26 +251,6 @@ TEST(Cli, HelpRequestAndText) {
 TEST(Cli, RejectsPositionalArguments) {
   const char* argv[] = {"prog", "stray"};
   EXPECT_THROW(CliParser(2, argv), std::invalid_argument);
-}
-
-// --- logging ----------------------------------------------------------------------
-
-TEST(Log, ThresholdFiltersLevels) {
-  const LogLevel original = log_threshold();
-  set_log_threshold(LogLevel::kError);
-  EXPECT_EQ(log_threshold(), LogLevel::kError);
-  // The macro body must not evaluate when filtered.
-  int evaluations = 0;
-  auto side_effect = [&evaluations] {
-    ++evaluations;
-    return "x";
-  };
-  WDM_DEBUG << side_effect();
-  EXPECT_EQ(evaluations, 0);
-  set_log_threshold(LogLevel::kDebug);
-  WDM_DEBUG << side_effect();
-  EXPECT_EQ(evaluations, 1);
-  set_log_threshold(original);
 }
 
 }  // namespace
